@@ -6,8 +6,8 @@
 //! * **Bias policy** — the published inhibit-until policy vs the early
 //!   Bernoulli prototype vs bias disabled, measured on a read/write mix that
 //!   forces periodic revocation.
-//! * **BRAVO-2D vs flat BRAVO** — per-read cost of the sectored-table
-//!   variant, plus its column-scan revocation vs the full-table scan.
+//! * **BRAVO-2D vs flat BRAVO** — per-read cost of the same lock over the
+//!   sectored table, plus its column-scan revocation vs the full-table scan.
 //! * **Hash dispersal** — cost of the Mix-based slot hash itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -16,7 +16,7 @@ use std::time::Duration;
 use bravo::hash::slot_index;
 use bravo::policy::BiasPolicy;
 use bravo::vrt::TableHandle;
-use bravo::{Bravo2dLock, BravoLock, DefaultRwLock};
+use bravo::{BravoLock, DefaultRwLock, RawRwLock};
 use rwlocks::PhaseFairQueueLock;
 
 fn small(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
@@ -106,7 +106,11 @@ fn bench_bravo_2d(c: &mut Criterion) {
         });
     }
     {
-        let sectored: Bravo2dLock<PhaseFairQueueLock> = Bravo2dLock::new();
+        let sectored: BravoLock<PhaseFairQueueLock> = BravoLock::with_parts(
+            PhaseFairQueueLock::new(),
+            TableHandle::global_sectored(),
+            BiasPolicy::paper_default(),
+        );
         sectored.read_unlock(sectored.read_lock());
         group.bench_function("sectored_2d", |b| {
             b.iter(|| {
@@ -131,7 +135,11 @@ fn bench_bravo_2d(c: &mut Criterion) {
         });
     }
     {
-        let sectored: Bravo2dLock<PhaseFairQueueLock> = Bravo2dLock::new();
+        let sectored: BravoLock<PhaseFairQueueLock> = BravoLock::with_parts(
+            PhaseFairQueueLock::new(),
+            TableHandle::global_sectored(),
+            BiasPolicy::paper_default(),
+        );
         group.bench_function("sectored_2d", |b| {
             b.iter(|| {
                 let t = sectored.read_lock();

@@ -62,8 +62,6 @@
 //!   process-shared instances, and the [`TableHandle`] locks hold.
 //! * [`lock`] — [`BravoLock`], the raw (token-based) form of the algorithm.
 //! * [`rwlock`] — [`BravoRwLock`], the data-carrying RAII-guard form.
-//! * [`twod`] — the BRAVO-2D variant sketched in the paper's future-work
-//!   section, built on the shared sectored layout.
 //! * [`policy`] — bias-enabling policies (inhibit-until, Bernoulli).
 //! * [`stats`] — process-wide, sharded statistics counters (fast/slow reads,
 //!   revocations) plus per-lock counter blocks ([`stats::LockStats`]) used
@@ -83,7 +81,6 @@
 
 pub mod clock;
 pub mod compat;
-pub mod ext;
 pub mod hash;
 pub mod lock;
 pub mod model;
@@ -94,19 +91,16 @@ pub mod spec;
 pub mod stats;
 pub mod sync;
 pub mod sys;
-pub mod twod;
 pub mod vrt;
 pub mod wait;
 
 pub use compat::ReentrantBravo;
-pub use ext::{BravoDualProbe, BravoMutex, BravoNonBlockingRevoke};
 pub use lock::{BravoLock, ReadToken};
 pub use policy::{AdaptiveBias, BiasPolicy, PolicyFlip, DEFAULT_INHIBIT_MULTIPLIER};
 pub use raw::{DefaultRwLock, RawRwLock, RawTryRwLock, TryLockError};
 pub use rwlock::{BravoReadGuard, BravoRwLock, BravoWriteGuard};
 pub use spec::{LockHandle, LockSpec, SpecError, SpecParseError, StatsMode, TableSpec};
 pub use stats::{LockStats, Snapshot, StatsSink};
-pub use twod::Bravo2dLock;
 pub use vrt::{
     NumaTable, ReaderTable, Revocation, SectoredTable, TableHandle, VisibleReadersTable,
     DEFAULT_TABLE_SIZE, MAX_TRACKED_SHARDS,

@@ -10,6 +10,7 @@
 //! acquisition to release.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -53,6 +54,15 @@ pub mod mutation {
     }
 }
 
+/// How long [`BravoLock::try_write_lock`] may wait for fast-path readers to
+/// drain before giving up.
+///
+/// The paper's revocation scans complete in single-digit microseconds
+/// (§3: ~1.1 ns per slot); 200 µs covers even a heavily preempted reader on
+/// an oversubscribed host while remaining far below any blocking
+/// acquisition a caller could confuse it with.
+pub const TRY_WRITE_BUDGET: Duration = Duration::from_micros(200);
+
 /// Proof that read permission is held on a [`BravoLock`], and how it was
 /// obtained.
 ///
@@ -69,12 +79,6 @@ pub struct ReadToken {
 }
 
 impl ReadToken {
-    /// Crate-internal constructor so sibling modules (e.g. the BRAVO-2D
-    /// variant) can mint tokens while external code cannot forge them.
-    pub(crate) fn new(slot: Option<usize>) -> Self {
-        Self { slot }
-    }
-
     /// Whether the acquisition used the BRAVO fast path.
     pub fn is_fast(&self) -> bool {
         self.slot.is_some()
@@ -93,7 +97,9 @@ impl ReadToken {
 /// visible readers table (globally shared by default, hence zero bytes of
 /// per-lock state in the paper's C embodiment) and the bias policy. The
 /// lock is written against the [`ReaderTable`](crate::vrt::ReaderTable) abstraction, so any layout —
-/// flat, sectored, NUMA-sharded — can stand behind the handle.
+/// flat, sectored, NUMA-sharded — can stand behind the handle. The paper's
+/// BRAVO-2D (§7) is this lock over the sectored layout
+/// ([`TableHandle::global_sectored`]): only the table differs.
 pub struct BravoLock<L = DefaultRwLock> {
     rbias: AtomicBool,
     inhibit_until: AtomicU64,
@@ -225,44 +231,58 @@ impl<L: RawRwLock> BravoLock<L> {
 
     /// Acquires read (shared) permission, using the fast path when possible.
     pub fn read_lock(&self) -> ReadToken {
-        // Fast-path attempt: constant time (one flag check, one hash, one
-        // CAS, one re-check).
-        if self.rbias.load(Ordering::Acquire) {
-            let table = self.table.table();
-            let addr = self.addr();
-            let slot = table.slot_for_current(addr);
-            if table.try_publish(slot, addr) {
-                // The successful CAS is SeqCst and doubles as the store-load
-                // fence between publishing our slot and re-checking RBias
-                // (Dekker-style with the writer's clear-then-scan sequence).
-                if self.rbias.load(Ordering::SeqCst) {
-                    self.stats.record_fast_read_in(table.shard_of_slot(slot));
-                    return ReadToken { slot: Some(slot) };
-                }
-                // A writer revoked bias between our publication and the
-                // re-check; undo the publication and take the slow path.
-                // The racing revoker may already have seen our slot and
-                // parked on it, so the clear needs the same wakeup as a
-                // fast-path release (no-op in spin mode).
-                table.clear(slot, addr);
-                #[cfg(feature = "schedcheck")]
-                if mutation::lost_wakeup() {
-                    // Seeded bug: back out silently. The parked revoker
-                    // never learns the slot emptied.
-                    return self.slow_read(SlowReadReason::Raced);
-                }
-                self.wait.notify_all(addr);
-                return self.slow_read(SlowReadReason::Raced);
+        match self.try_fast_read() {
+            Ok(token) => token,
+            Err(reason) => {
+                self.underlying.lock_shared();
+                self.admit_slow_read(reason)
             }
-            // Slot occupied: a collision with another (lock, thread) pair.
-            self.stats.record_shard_collision(table.shard_of_slot(slot));
-            return self.slow_read(SlowReadReason::Collision);
         }
-        self.slow_read(SlowReadReason::BiasDisabled)
     }
 
-    fn slow_read(&self, reason: SlowReadReason) -> ReadToken {
-        self.underlying.lock_shared();
+    /// The fast-path attempt shared by [`read_lock`](BravoLock::read_lock)
+    /// and [`try_read_lock`](BravoLock::try_read_lock): constant time (one
+    /// flag check, one hash, one CAS, one re-check) and never blocking. On
+    /// failure, returns why the reader must fall back to the underlying lock.
+    #[inline]
+    fn try_fast_read(&self) -> Result<ReadToken, SlowReadReason> {
+        if !self.rbias.load(Ordering::Acquire) {
+            return Err(SlowReadReason::BiasDisabled);
+        }
+        let table = self.table.table();
+        let addr = self.addr();
+        let slot = table.slot_for_current(addr);
+        if !table.try_publish(slot, addr) {
+            // Slot occupied: a collision with another (lock, thread) pair.
+            self.stats.record_shard_collision(table.shard_of_slot(slot));
+            return Err(SlowReadReason::Collision);
+        }
+        // The successful CAS is SeqCst and doubles as the store-load fence
+        // between publishing our slot and re-checking RBias (Dekker-style
+        // with the writer's clear-then-scan sequence).
+        if self.rbias.load(Ordering::SeqCst) {
+            self.stats.record_fast_read_in(table.shard_of_slot(slot));
+            return Ok(ReadToken { slot: Some(slot) });
+        }
+        // A writer revoked bias between our publication and the re-check;
+        // undo the publication. The racing revoker may already have seen
+        // our slot and parked on it, so the clear needs the same wakeup as
+        // a fast-path release (no-op in spin mode).
+        table.clear(slot, addr);
+        #[cfg(feature = "schedcheck")]
+        if mutation::lost_wakeup() {
+            // Seeded bug: back out silently. The parked revoker never
+            // learns the slot emptied.
+            return Err(SlowReadReason::Raced);
+        }
+        self.wait.notify_all(addr);
+        Err(SlowReadReason::Raced)
+    }
+
+    /// Bookkeeping for a reader that obtained read permission from the
+    /// underlying lock: the slow paths are where the adaptive gate ticks and
+    /// where bias gets re-enabled.
+    fn admit_slow_read(&self, reason: SlowReadReason) -> ReadToken {
         self.tick_adaptive();
         self.maybe_enable_bias();
         self.stats.record_slow_read(reason);
@@ -316,30 +336,54 @@ impl<L: RawRwLock> BravoLock<L> {
     /// enabled.
     pub fn write_lock(&self) {
         self.underlying.lock_exclusive();
-        self.revoke_if_biased();
+        let revoked = self.revoke_if_biased(u64::MAX);
+        debug_assert!(revoked, "an unbounded revocation cannot time out");
     }
 
-    /// Revocation: runs with the underlying lock held exclusively.
-    fn revoke_if_biased(&self) {
+    /// Revocation: runs with the underlying lock held exclusively, and
+    /// gives up once the clock passes `deadline_ns` (`u64::MAX` waits for
+    /// every fast reader). Returns whether the writer may proceed.
+    ///
+    /// On timeout the bias flag is restored before returning. That restore
+    /// is load-bearing: the conflicting fast readers are still published,
+    /// and every write path gates its scan on `RBias`, so leaving it clear
+    /// would let the *next* writer skip the scan and run concurrently with
+    /// those readers. The caller still holds the underlying lock
+    /// exclusively, so a subsequent writer is guaranteed to observe it.
+    fn revoke_if_biased(&self, deadline_ns: u64) -> bool {
         self.tick_adaptive();
-        if self.rbias.load(Ordering::Relaxed) {
-            // Clearing RBias must be ordered before the table scan
-            // (store-load); the SeqCst store pairs with the fast-path
-            // reader's SeqCst publish + re-check.
-            self.rbias.store(false, Ordering::SeqCst);
-            let start = now_ns();
-            let rev = self.table.table().revoke_with(self.addr(), self.wait);
-            let now = now_ns();
-            // Primum non nocere: inhibit re-enabling bias long enough to
-            // amortize this revocation's cost down to the configured bound.
-            self.inhibit_until.store(
-                self.policy.inhibit_until_after_revocation(start, now),
-                Ordering::Relaxed,
-            );
-            self.stats.record_revocation(&rev);
-            self.stats.record_write(true, rev.conflicts);
-        } else {
+        if !self.rbias.load(Ordering::Relaxed) {
             self.stats.record_write(false, 0);
+            return true;
+        }
+        // Clearing RBias must be ordered before the table scan (store-load);
+        // the SeqCst store pairs with the fast-path reader's SeqCst publish
+        // + re-check.
+        self.rbias.store(false, Ordering::SeqCst);
+        let start = now_ns();
+        let outcome = self
+            .table
+            .table()
+            .revoke_until_with(self.addr(), deadline_ns, self.wait);
+        let now = now_ns();
+        // Primum non nocere: inhibit re-enabling bias long enough to
+        // amortize this revocation's cost down to the configured bound. A
+        // timed-out revocation is charged too: the window only gates
+        // *re-enabling* by slow readers, not the restore below.
+        self.inhibit_until.store(
+            self.policy.inhibit_until_after_revocation(start, now),
+            Ordering::Relaxed,
+        );
+        match outcome {
+            Some(rev) => {
+                self.stats.record_revocation(&rev);
+                self.stats.record_write(true, rev.conflicts);
+                true
+            }
+            None => {
+                self.rbias.store(true, Ordering::SeqCst);
+                false
+            }
         }
     }
 
@@ -359,43 +403,34 @@ impl<L: RawTryRwLock> BravoLock<L> {
     /// non-blocking, but the fallback needs the underlying try operation,
     /// as described in §3.
     pub fn try_read_lock(&self) -> Option<ReadToken> {
-        if self.rbias.load(Ordering::Acquire) {
-            let table = self.table.table();
-            let addr = self.addr();
-            let slot = table.slot_for_current(addr);
-            if table.try_publish(slot, addr) {
-                if self.rbias.load(Ordering::SeqCst) {
-                    self.stats.record_fast_read_in(table.shard_of_slot(slot));
-                    return Some(ReadToken { slot: Some(slot) });
-                }
-                // Backed out after losing the race with a revoker that may
-                // be parked on our slot; wake it (no-op in spin mode).
-                table.clear(slot, addr);
-                #[cfg(feature = "schedcheck")]
-                let mutated = mutation::lost_wakeup();
-                #[cfg(not(feature = "schedcheck"))]
-                let mutated = false;
-                if !mutated {
-                    self.wait.notify_all(addr);
-                }
+        match self.try_fast_read() {
+            Ok(token) => Some(token),
+            Err(reason) => {
+                self.underlying.try_lock_shared().ok()?;
+                Some(self.admit_slow_read(reason))
             }
-        }
-        if self.underlying.try_lock_shared().is_ok() {
-            self.maybe_enable_bias();
-            self.stats.record_slow_read(SlowReadReason::BiasDisabled);
-            Some(ReadToken { slot: None })
-        } else {
-            None
         }
     }
 
-    /// Attempts to acquire write permission without blocking. On success,
-    /// bias is revoked exactly as in [`write_lock`](BravoLock::write_lock).
+    /// Attempts to acquire write permission with a bounded wait.
+    ///
+    /// A writer must revoke reader bias before it owns the lock, and
+    /// revocation waits for published fast readers to depart, which is an
+    /// unbounded wait in general. So the try path takes the underlying lock
+    /// with its try operation, then revokes with a deadline of
+    /// [`TRY_WRITE_BUDGET`] from now. On timeout the bias flag is restored,
+    /// the underlying lock is released, and the acquisition fails cleanly.
+    /// On success, bias is revoked exactly as in
+    /// [`write_lock`](BravoLock::write_lock).
     pub fn try_write_lock(&self) -> bool {
-        if self.underlying.try_lock_exclusive().is_ok() {
-            self.revoke_if_biased();
+        if self.underlying.try_lock_exclusive().is_err() {
+            return false;
+        }
+        let budget = TRY_WRITE_BUDGET.as_nanos() as u64;
+        if self.revoke_if_biased(now_ns().saturating_add(budget)) {
             true
         } else {
+            self.underlying.unlock_exclusive();
             false
         }
     }
@@ -416,7 +451,6 @@ impl<L: RawRwLock> std::fmt::Debug for BravoLock<L> {
 mod tests {
     use super::*;
     use crate::sync::atomic::AtomicU64;
-    use std::sync::Arc;
 
     type Bravo = BravoLock<DefaultRwLock>;
 
@@ -699,5 +733,157 @@ mod tests {
         l.read_unlock(t);
         l.write_lock();
         l.write_unlock();
+    }
+
+    /// A lock over a private sectored table: the BRAVO-2D layout, with slot
+    /// choice independent of other tests' locks.
+    fn sectored() -> Bravo {
+        BravoLock::with_instrumented(
+            DefaultRwLock::new(),
+            TableHandle::sectored(4, 16),
+            BiasPolicy::paper_default(),
+            StatsSink::per_lock(),
+        )
+    }
+
+    #[test]
+    fn read_write_cycle_over_a_sectored_table() {
+        let l = sectored();
+        let t = l.read_lock();
+        assert!(!t.is_fast());
+        l.read_unlock(t);
+        let t = l.read_lock();
+        assert!(t.is_fast());
+        l.read_unlock(t);
+        l.write_lock();
+        assert!(!l.is_reader_biased());
+        l.write_unlock();
+    }
+
+    #[test]
+    fn bounded_try_write_succeeds_uncontended_and_revokes() {
+        let l = sectored();
+        l.read_unlock(l.read_lock());
+        assert!(l.is_reader_biased());
+        assert!(l.try_write_lock());
+        assert!(!l.is_reader_biased(), "try-write must revoke bias");
+        l.write_unlock();
+    }
+
+    #[test]
+    fn try_read_mirrors_the_blocking_path() {
+        let l = sectored();
+        let t = l.try_read_lock().expect("uncontended try-read");
+        l.read_unlock(t);
+        l.write_lock();
+        // A writer holds the underlying lock: try-read must fail, not block.
+        assert!(l.try_read_lock().is_none());
+        l.write_unlock();
+    }
+
+    #[test]
+    fn exclusion_under_mixed_load() {
+        let l = Arc::new(sectored());
+        let counter = Arc::new(AtomicU64::new(0));
+        std::thread::scope(|s| {
+            for i in 0..4 {
+                let l = Arc::clone(&l);
+                let counter = Arc::clone(&counter);
+                s.spawn(move || {
+                    for _ in 0..1_000 {
+                        if i == 0 {
+                            l.write_lock();
+                            let v = counter.load(Ordering::Relaxed);
+                            counter.store(v + 1, Ordering::Relaxed);
+                            l.write_unlock();
+                        } else {
+                            let t = l.read_lock();
+                            let _ = counter.load(Ordering::Relaxed);
+                            l.read_unlock(t);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(counter.load(Ordering::Relaxed), 1_000);
+    }
+
+    #[test]
+    fn writer_waits_for_fast_reader_via_column_scan() {
+        let l = Arc::new(sectored());
+        l.read_unlock(l.read_lock());
+        let held = l.read_lock();
+        assert!(held.is_fast());
+        let l2 = Arc::clone(&l);
+        let done = Arc::new(AtomicBool::new(false));
+        let done2 = Arc::clone(&done);
+        let writer = std::thread::spawn(move || {
+            l2.write_lock();
+            done2.store(true, Ordering::SeqCst);
+            l2.write_unlock();
+        });
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!done.load(Ordering::SeqCst));
+        l.read_unlock(held);
+        writer.join().unwrap();
+        assert!(done.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn bounded_try_write_times_out_under_a_fast_reader_then_recovers() {
+        let l = sectored();
+        l.read_unlock(l.read_lock());
+        let held = l.read_lock();
+        assert!(held.is_fast());
+        // The fast reader never departs within the budget: the try must
+        // fail and release the underlying lock.
+        assert!(!l.try_write_lock());
+        // The reader's permission is intact and the lock is not wedged.
+        l.read_unlock(held);
+        assert!(l.try_write_lock());
+        l.write_unlock();
+        // Readers still work after the whole episode.
+        l.read_unlock(l.read_lock());
+    }
+
+    #[test]
+    fn timed_out_try_write_does_not_disarm_later_writers() {
+        // A timed-out bounded revocation must not leave RBias clear while
+        // the conflicting fast reader is still published, or the *next*
+        // write acquisition would skip the revocation scan and run
+        // concurrently with that reader. With the reader still held, every
+        // subsequent try must keep failing.
+        let l = sectored();
+        l.read_unlock(l.read_lock());
+        let held = l.read_lock();
+        assert!(held.is_fast());
+        assert!(!l.try_write_lock());
+        assert!(
+            !l.try_write_lock(),
+            "second try-write was granted while a fast reader is still published"
+        );
+        assert!(l.is_reader_biased(), "bias flag not restored after timeout");
+        l.read_unlock(held);
+        assert!(l.try_write_lock());
+        l.write_unlock();
+    }
+
+    #[test]
+    fn exclusion_holds_over_a_numa_table() {
+        let l = Bravo::with_instrumented(
+            DefaultRwLock::new(),
+            TableHandle::numa(2, 64),
+            BiasPolicy::paper_default(),
+            StatsSink::per_lock(),
+        );
+        l.read_unlock(l.read_lock());
+        let t = l.read_lock();
+        assert!(t.is_fast());
+        l.read_unlock(t);
+        l.write_lock();
+        assert!(!l.is_reader_biased());
+        l.write_unlock();
+        assert!(l.stats().snapshot().fast_reads >= 1);
+        assert!(l.stats().snapshot().revocations >= 1);
     }
 }

@@ -103,9 +103,8 @@ pub trait RawRwLock: Send + Sync {
 ///
 /// Separated from [`RawRwLock`] so that harness code which *needs* try
 /// operations says so in its bounds, and locks without a usable try path
-/// (historically `ReentrantBravo2d`, whose `try_lock_exclusive` silently
-/// always failed) simply do not implement the trait instead of lying at run
-/// time.
+/// simply do not implement the trait instead of lying at run time (e.g. a
+/// `try_lock_exclusive` that silently always fails).
 pub trait RawTryRwLock: RawRwLock {
     /// Attempts to acquire shared permission without blocking indefinitely.
     fn try_lock_shared(&self) -> Result<(), TryLockError>;

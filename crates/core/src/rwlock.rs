@@ -104,8 +104,9 @@ impl<T: ?Sized, L: RawTryRwLock> BravoRwLock<T, L> {
         })
     }
 
-    /// Attempts to acquire exclusive access without blocking. Requires the
-    /// underlying lock to provide a non-blocking write path
+    /// Attempts to acquire exclusive access without blocking beyond a
+    /// bounded revocation wait ([`crate::lock::TRY_WRITE_BUDGET`]). Requires
+    /// the underlying lock to provide a non-blocking write path
     /// ([`RawTryRwLock`]).
     pub fn try_write(&self) -> Option<BravoWriteGuard<'_, T, L>> {
         if self.raw.try_write_lock() {

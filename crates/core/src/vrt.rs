@@ -104,13 +104,6 @@ pub trait ReaderTable: Send + Sync {
     /// sectored, home-node shard for NUMA).
     fn slot_for_current(&self, lock_addr: usize) -> usize;
 
-    /// Whether a revocation scan finds a publication in *any* slot, or only
-    /// in slots derived from
-    /// [`slot_for_current`](ReaderTable::slot_for_current). The dual-probe
-    /// extension publishes into arbitrary secondary slots and must not do
-    /// so on layouts (sectored) whose writers scan a single column.
-    fn probe_anywhere(&self) -> bool;
-
     /// Attempts to publish `lock_addr` in `slot` (the fast-path reader's
     /// CAS from null). Returns `false` if the slot was already occupied.
     ///
@@ -339,10 +332,6 @@ impl ReaderTable for VisibleReadersTable {
         self.slot_for(lock_addr, topology::current_thread_id().as_usize())
     }
 
-    fn probe_anywhere(&self) -> bool {
-        true
-    }
-
     fn try_publish(&self, slot: usize, lock_addr: usize) -> bool {
         VisibleReadersTable::try_publish(self, slot, lock_addr)
     }
@@ -486,12 +475,6 @@ impl ReaderTable for SectoredTable {
 
     fn slot_for_current(&self, lock_addr: usize) -> usize {
         self.slot_for(topology::current_cpu(), lock_addr)
-    }
-
-    fn probe_anywhere(&self) -> bool {
-        // Writers scan one column; a publication outside the lock's column
-        // would be invisible to revocation.
-        false
     }
 
     fn try_publish(&self, slot: usize, lock_addr: usize) -> bool {
@@ -662,13 +645,6 @@ impl ReaderTable for NumaTable {
             topology::current_thread_id().as_usize(),
             topology::current_shard(self.shards.len()),
         )
-    }
-
-    fn probe_anywhere(&self) -> bool {
-        // Occupancy accounting is per slot (try_publish/clear derive the
-        // shard from the slot index), so a publication in *any* slot is
-        // covered by the revocation scan.
-        true
     }
 
     fn try_publish(&self, slot: usize, lock_addr: usize) -> bool {
@@ -1008,7 +984,6 @@ mod tests {
         assert_eq!(table.layout(), "flat");
         assert_eq!(table.shards(), 1);
         assert_eq!(table.shard_of_slot(63), 0);
-        assert!(table.probe_anywhere());
         let addr = 0x6000;
         let slot = table.slot_for_current(addr);
         assert!(table.try_publish(slot, addr));
@@ -1026,7 +1001,6 @@ mod tests {
         assert_eq!(t.len(), 256);
         assert_eq!(t.revocation_scan_len(), 4);
         assert_eq!(ReaderTable::shards(&t), 4);
-        assert!(!t.probe_anywhere());
     }
 
     #[test]
@@ -1069,7 +1043,6 @@ mod tests {
         assert_eq!(t.node_shards(), 4);
         assert_eq!(t.slots_per_shard(), 64);
         assert_eq!(ReaderTable::len(&t), 256);
-        assert!(t.probe_anywhere());
         for node in 0..4 {
             let slot = t.slot_for_thread_on_node(0xbeef0, 7, node);
             assert_eq!(t.shard_of_slot(slot), node, "publication not node-local");

@@ -35,10 +35,10 @@
 //!
 //! 1. The waiter spins a short grace period first (uncontended waits stay in
 //!    the µs range and never pay a context switch).
-//! 2. It then pushes a node (key + [`Thread`] handle + wake flag) onto the
-//!    queue, increments the `registered` count, executes a `SeqCst` fence,
-//!    and **re-checks the condition**. Only if the condition is still false
-//!    does it park.
+//! 2. It then increments the `registered` count and pushes a node (key +
+//!    [`Thread`] handle + wake flag) onto the queue, both under the queue
+//!    mutex, executes a `SeqCst` fence, and **re-checks the condition**.
+//!    Only if the condition is still false does it park.
 //! 3. The waker changes the lock state first, executes a `SeqCst` fence, and
 //!    reads `registered`. If it sees zero it is done — the fence pair
 //!    guarantees that a concurrently-registering waiter's re-check sees the
@@ -172,6 +172,13 @@ impl WaitQueue {
         self.waiters.lock().expect("wait queue poisoned")
     }
 
+    /// Drops one node from the `registered` count. Called with the queue
+    /// mutex held, after removing that node.
+    fn unregister_one(&self) {
+        let before = self.registered.fetch_sub(1, Ordering::SeqCst);
+        debug_assert!(before > 0, "wait-queue registered count wrapped");
+    }
+
     /// Registers the current thread under `key`. Returns the node; the
     /// caller must re-check its condition before parking.
     fn register(&self, key: usize) -> Arc<WaitNode> {
@@ -191,9 +198,13 @@ impl WaitQueue {
                 !queue.iter().any(|n| n.thread.id() == node.thread.id()),
                 "duplicate wait-queue registration for one thread"
             );
+            // Count before the node becomes visible, under the mutex: a
+            // waker can dequeue (and decrement for) the node as soon as the
+            // mutex drops, and an increment after that would let the count
+            // wrap and then read 0 while a later waiter is parked.
+            self.registered.fetch_add(1, Ordering::SeqCst);
             queue.push_back(Arc::clone(&node));
         }
-        self.registered.fetch_add(1, Ordering::SeqCst);
         node
     }
 
@@ -202,7 +213,7 @@ impl WaitQueue {
         let mut queue = self.queue();
         if let Some(pos) = queue.iter().position(|n| Arc::ptr_eq(n, node)) {
             queue.remove(pos);
-            self.registered.fetch_sub(1, Ordering::SeqCst);
+            self.unregister_one();
         }
         // If the node is gone a waker already dequeued it and will (or did)
         // unpark us; the banked token at worst ends one future park early,
@@ -311,7 +322,7 @@ impl WaitQueue {
             while i < queue.len() {
                 if queue[i].key == key {
                     let node = queue.remove(i).expect("index in bounds");
-                    self.registered.fetch_sub(1, Ordering::SeqCst);
+                    self.unregister_one();
                     node.woken.store(true, Ordering::Release);
                     woken.push(node);
                 } else {
@@ -345,7 +356,7 @@ impl WaitQueue {
             match pos {
                 Some(pos) => {
                     let node = queue.remove(pos).expect("index in bounds");
-                    self.registered.fetch_sub(1, Ordering::SeqCst);
+                    self.unregister_one();
                     node.woken.store(true, Ordering::Release);
                     node
                 }

@@ -353,7 +353,12 @@ mod tests {
     fn readers_never_observe_torn_values() {
         // The writer always keeps value[0] == value[1]; readers check it.
         for kind in [LockKind::BravoBa, LockKind::Ba, LockKind::BravoPthread] {
-            let t = Arc::new(MemTable::prepopulated(kind, 16).unwrap());
+            // Not `prepopulated`, whose `[k, k ^ 0xff, ..]` values would
+            // break the invariant before the writer's first update.
+            let t = Arc::new(MemTable::new(kind).unwrap());
+            for key in 0..16 {
+                t.put(key, [key, key, 0, 0]);
+            }
             std::thread::scope(|s| {
                 let writer = Arc::clone(&t);
                 s.spawn(move || {

@@ -15,15 +15,11 @@
 //! 4096-slot table; see [`bravo::spec`] for the grammar.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use bravo::spec::{LockHandle, LockSpec, SpecError, TableSpec};
 use bravo::stats::StatsSink;
 use bravo::vrt::TableHandle;
-use bravo::{
-    AdaptiveBias, BiasPolicy, Bravo2dLock, BravoLock, RawRwLock, RawTryRwLock, ReentrantBravo,
-    TryLockError,
-};
+use bravo::{AdaptiveBias, BiasPolicy, BravoLock, RawTryRwLock, ReentrantBravo};
 
 use crate::cohort::CohortRwLock;
 use crate::counter::CounterRwLock;
@@ -162,110 +158,6 @@ impl std::fmt::Display for LockKind {
     }
 }
 
-/// How long [`ReentrantBravo2d::try_lock_exclusive`] may wait for fast-path
-/// readers to drain before giving up.
-///
-/// The paper's revocation scans complete in single-digit microseconds
-/// (§3: ~1.1 ns per slot over one column per row); 200 µs covers even a
-/// heavily preempted reader on an oversubscribed host while remaining
-/// far below any blocking acquisition a caller could confuse it with.
-pub const BRAVO_2D_TRY_WRITE_BUDGET: Duration = Duration::from_micros(200);
-
-/// A [`Bravo2dLock`] exposed through the [`RawRwLock`] interface, analogous
-/// to [`ReentrantBravo`] for the flat-table lock.
-pub struct ReentrantBravo2d<L: RawRwLock> {
-    inner: Bravo2dLock<L>,
-}
-
-thread_local! {
-    static HELD_2D: std::cell::RefCell<Vec<(usize, bravo::ReadToken)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-impl<L: RawRwLock> ReentrantBravo2d<L> {
-    /// Wraps an existing BRAVO-2D lock.
-    pub fn from_lock(inner: Bravo2dLock<L>) -> Self {
-        Self { inner }
-    }
-
-    /// The wrapped BRAVO-2D lock.
-    pub fn inner(&self) -> &Bravo2dLock<L> {
-        &self.inner
-    }
-
-    fn key(&self) -> usize {
-        self as *const Self as usize
-    }
-
-    fn park_token(&self, token: bravo::ReadToken) {
-        HELD_2D.with(|h| h.borrow_mut().push((self.key(), token)));
-    }
-
-    fn take_token(&self) -> bravo::ReadToken {
-        HELD_2D.with(|h| {
-            let mut held = h.borrow_mut();
-            let idx = held
-                .iter()
-                .rposition(|(addr, _)| *addr == self.key())
-                .expect("unlock_shared on a ReentrantBravo2d not read-held by this thread");
-            held.remove(idx).1
-        })
-    }
-}
-
-impl<L: RawRwLock> RawRwLock for ReentrantBravo2d<L> {
-    fn new() -> Self {
-        Self {
-            inner: Bravo2dLock::new(),
-        }
-    }
-
-    fn lock_shared(&self) {
-        let token = self.inner.read_lock();
-        self.park_token(token);
-    }
-
-    fn unlock_shared(&self) {
-        let token = self.take_token();
-        self.inner.read_unlock(token);
-    }
-
-    fn lock_exclusive(&self) {
-        self.inner.write_lock();
-    }
-
-    fn unlock_exclusive(&self) {
-        self.inner.write_unlock();
-    }
-
-    fn name() -> &'static str {
-        "BRAVO-2D"
-    }
-}
-
-impl<L: RawTryRwLock> RawTryRwLock for ReentrantBravo2d<L> {
-    fn try_lock_shared(&self) -> Result<(), TryLockError> {
-        match self.inner.try_read_lock() {
-            Some(token) => {
-                self.park_token(token);
-                Ok(())
-            }
-            None => Err(TryLockError::WouldBlock),
-        }
-    }
-
-    fn try_lock_exclusive(&self) -> Result<(), TryLockError> {
-        // An honest bounded-wait try: revocation runs with a deadline of
-        // [`BRAVO_2D_TRY_WRITE_BUDGET`], after which the acquisition backs
-        // out cleanly. (This replaces the historical always-fail stub.)
-        if self.inner.try_write_lock_for(BRAVO_2D_TRY_WRITE_BUDGET) {
-            Ok(())
-        } else {
-            Err(TryLockError::WouldBlock)
-        }
-    }
-}
-
 /// Resolves a spec's table layout to a live [`TableHandle`].
 ///
 /// Every BRAVO composite accepts every layout — the kind only chooses what
@@ -314,14 +206,18 @@ fn make_adaptive(spec: &LockSpec) -> Option<Arc<AdaptiveBias>> {
     spec.adapt().then(|| Arc::new(AdaptiveBias::new()))
 }
 
-fn bravo_flat<L: RawTryRwLock + 'static>(
+/// Builds a BRAVO composite over `L`. `sectored_default` picks what a bare
+/// `table=global` means (see [`resolve_table`]); it is the only difference
+/// between BRAVO-2D and the flat composites.
+fn bravo_composite<L: RawTryRwLock + 'static>(
     spec: &LockSpec,
-    sink: StatsSink,
+    sectored_default: bool,
 ) -> Result<LockHandle, SpecError> {
+    let sink = spec.make_sink();
     let adapt = make_adaptive(spec);
     let mut inner = BravoLock::with_instrumented(
         L::with_wait(spec.wait()),
-        resolve_table(spec, false),
+        resolve_table(spec, sectored_default),
         spec.bias(),
         sink.clone(),
     )
@@ -377,30 +273,11 @@ pub fn build_lock(spec: &LockSpec) -> Result<LockHandle, SpecError> {
         LockKind::PerCpu => plain::<PerCpuRwLock<PhaseFairQueueLock>>(spec),
         LockKind::Counter => plain::<CounterRwLock>(spec),
         LockKind::Fair => plain::<FairRwLock>(spec),
-        LockKind::BravoBa => bravo_flat::<PhaseFairQueueLock>(spec, spec.make_sink()),
-        LockKind::BravoPfT => bravo_flat::<PhaseFairTicketLock>(spec, spec.make_sink()),
-        LockKind::BravoPthread => bravo_flat::<PthreadRwLock>(spec, spec.make_sink()),
-        LockKind::BravoCounter => bravo_flat::<CounterRwLock>(spec, spec.make_sink()),
-        LockKind::Bravo2dBa => {
-            let sink = spec.make_sink();
-            let adapt = make_adaptive(spec);
-            let mut inner = Bravo2dLock::with_instrumented(
-                PhaseFairQueueLock::with_wait(spec.wait()),
-                resolve_table(spec, true),
-                spec.bias(),
-                sink.clone(),
-            )
-            .with_wait_mode(spec.wait());
-            if let Some(adapt) = &adapt {
-                inner = inner.with_adaptive(Arc::clone(adapt));
-            }
-            let lock = ReentrantBravo2d::from_lock(inner);
-            let mut handle = LockHandle::from_try_lock(spec.clone(), Arc::new(lock), sink);
-            if let Some(adapt) = adapt {
-                handle = handle.with_adaptive(adapt);
-            }
-            Ok(handle)
-        }
+        LockKind::BravoBa => bravo_composite::<PhaseFairQueueLock>(spec, false),
+        LockKind::BravoPfT => bravo_composite::<PhaseFairTicketLock>(spec, false),
+        LockKind::BravoPthread => bravo_composite::<PthreadRwLock>(spec, false),
+        LockKind::BravoCounter => bravo_composite::<CounterRwLock>(spec, false),
+        LockKind::Bravo2dBa => bravo_composite::<PhaseFairQueueLock>(spec, true),
     }
 }
 
@@ -409,6 +286,8 @@ mod tests {
     use super::*;
     use bravo::spec::StatsMode;
     use bravo::wait::WaitMode;
+    use bravo::TryLockError;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn every_kind_round_trips_through_parse() {
@@ -442,10 +321,8 @@ mod tests {
 
     #[test]
     fn every_kind_has_an_honest_try_write() {
-        // The historical `ReentrantBravo2d::try_lock_exclusive` silently
-        // always failed; the redesign fences that off in the types, so every
-        // cataloged kind must now either support try-write for real or not
-        // expose it at all.
+        // Every cataloged kind must either support try-write for real or not
+        // expose it at all; a try path that silently always fails would lie.
         for &kind in LockKind::all() {
             let lock = kind.build();
             assert!(lock.supports_try_write(), "{kind} lost its try path");
@@ -636,23 +513,34 @@ mod tests {
         assert_eq!(lock.label(), "BRAVO-BA?stats=global");
     }
 
+    /// Named for BRAVO-2D, the first kind with a bounded try-write; it now
+    /// covers every BRAVO composite, since they all share one lock body.
     #[test]
     fn bounded_2d_try_write_fails_while_a_fast_reader_is_published() {
-        let lock = LockKind::Bravo2dBa.build();
-        // Prime bias, then hold a fast read.
-        lock.lock_shared();
-        lock.unlock_shared();
-        lock.lock_shared();
-        let started = std::time::Instant::now();
-        assert_eq!(lock.try_lock_exclusive(), Err(TryLockError::WouldBlock));
-        // The bounded wait must not have degenerated into blocking.
-        assert!(
-            started.elapsed() < Duration::from_secs(2),
-            "try-write blocked instead of timing out"
-        );
-        lock.unlock_shared();
-        assert!(lock.try_lock_exclusive().is_ok());
-        lock.unlock_exclusive();
+        for &kind in LockKind::all() {
+            if !kind.is_bravo() {
+                continue;
+            }
+            let lock = kind.build();
+            // Prime bias, then hold a fast read.
+            lock.lock_shared();
+            lock.unlock_shared();
+            lock.lock_shared();
+            let started = Instant::now();
+            assert_eq!(
+                lock.try_lock_exclusive(),
+                Err(TryLockError::WouldBlock),
+                "{kind}: try-write granted under a published fast reader"
+            );
+            // The bounded wait must not have degenerated into blocking.
+            assert!(
+                started.elapsed() < Duration::from_secs(2),
+                "{kind}: try-write blocked instead of timing out"
+            );
+            lock.unlock_shared();
+            assert!(lock.try_lock_exclusive().is_ok(), "{kind}: did not recover");
+            lock.unlock_exclusive();
+        }
     }
 
     #[test]

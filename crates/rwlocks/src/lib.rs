@@ -40,7 +40,7 @@ pub mod seqlock;
 
 pub use bravo::{RawRwLock, RawTryRwLock, TryLockError};
 pub use bytelock::ByteLock;
-pub use catalog::{build_lock, LockKind, ReentrantBravo2d};
+pub use catalog::{build_lock, LockKind};
 pub use cohort::CohortRwLock;
 pub use counter::CounterRwLock;
 pub use fair::FairRwLock;

@@ -89,7 +89,6 @@ const RULES: &[Rule] = &[
 const MIGRATED: &[&str] = &[
     "crates/core/src/raw.rs",
     "crates/core/src/vrt.rs",
-    "crates/core/src/twod.rs",
     "crates/core/src/wait.rs",
     "crates/core/src/lock.rs",
     "crates/rwlocks/src/counter.rs",

@@ -31,10 +31,9 @@ fn every_lock_kind_round_trips_through_the_catalog() {
         lock.unlock_shared();
         lock.lock_exclusive();
         lock.unlock_exclusive();
-        // Every cataloged kind now carries an honest try path — the
-        // BRAVO-2D variant's historical silently-always-failing try-write
-        // is fenced off by the RawTryRwLock split and replaced by a
-        // bounded-wait revocation.
+        // Every cataloged kind carries an honest try path; on BRAVO
+        // composites the try-write revokes bias with a bounded wait and
+        // backs out cleanly when fast readers outlast it.
         assert!(lock.supports_try_write(), "{kind}: no try path");
         assert!(
             lock.try_lock_exclusive().is_ok(),

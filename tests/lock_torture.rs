@@ -15,6 +15,7 @@
 //! wakeup in the lock under test or a starvation so complete it amounts to
 //! one.
 
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -86,21 +87,25 @@ fn torture(kind: LockKind, wait: WaitMode) {
             let mut last: Vec<u64> = vec![0; progress.len()];
             while !done.load(Ordering::Acquire) {
                 if Instant::now() >= deadline {
-                    eprintln!(
+                    // Built in one string and written straight to stderr:
+                    // `eprintln!` would land in libtest's output capture,
+                    // which `abort()` discards.
+                    let mut dump = format!(
                         "lock_torture watchdog fired: kind={kind:?} wait={wait} \
                          (spec '{label}') overstayed {WATCHDOG_LIMIT:?} \
-                         while {}; per-worker progress:",
+                         while {}; per-worker progress:\n",
                         phase_name(phase.load(Ordering::Acquire)),
                     );
                     for (i, counter) in progress.iter().enumerate() {
                         let now = counter.load(Ordering::Relaxed);
                         let delta = now - last[i];
-                        eprintln!(
+                        dump.push_str(&format!(
                             "  worker {i}: {now} iterations ({delta} in the last \
-                             {WATCHDOG_POLL:?}{})",
+                             {WATCHDOG_POLL:?}{})\n",
                             if delta == 0 { " — STALLED" } else { "" }
-                        );
+                        ));
                     }
+                    let _ = std::io::stderr().write_all(dump.as_bytes());
                     // Abort instead of panicking: the test thread is stuck
                     // inside the lock under test, so a panic here would
                     // leave the binary hanging anyway.

@@ -160,6 +160,47 @@ fn park_handoff_never_loses_wakeups() {
 }
 
 #[test]
+fn wait_queue_count_survives_two_waiters_and_a_waker() {
+    // Two park-mode waiters and one waker on one key. The waker wakes
+    // both, then the late waiter again. If a waiter counted itself only
+    // after publishing its node (outside the queue mutex), the first wake
+    // could dequeue that node and decrement before the increment, wrapping
+    // the count; the early waiter's re-registration then brings it back to
+    // 0 while it is parked, and the second wake's `registered == 0` fast
+    // exit skips it. The 2-thread handoff above cannot reach that window;
+    // this budget reaches it under that bug (schedule `pct3:52` deadlocks).
+    let report = schedcheck::check(&Config::pct(0x30, 3).with_schedules(400), || {
+        let q = Arc::new(bravo::WaitQueue::new());
+        let turn = Arc::new(AtomicU64::new(0));
+        let key = 0x3a17usize;
+        let waiters: Vec<_> = (1..=2u64)
+            .map(|want| {
+                let q = Arc::clone(&q);
+                let turn = Arc::clone(&turn);
+                schedcheck::spawn(move || {
+                    q.wait_until(key, || turn.load(Ordering::SeqCst) >= want);
+                })
+            })
+            .collect();
+        let waker = {
+            let q = Arc::clone(&q);
+            let turn = Arc::clone(&turn);
+            schedcheck::spawn(move || {
+                for next in 1..=2 {
+                    turn.store(next, Ordering::SeqCst);
+                    q.wake_all(key);
+                }
+            })
+        };
+        for w in waiters {
+            w.join();
+        }
+        waker.join();
+    });
+    assert_eq!(report.schedules, 400);
+}
+
+#[test]
 fn futex_handoff_never_loses_wakeups() {
     // The futex twin of the park handoff case: the schedcheck virtual
     // futex makes wait/wake yield points, so every interleaving of the
