@@ -24,23 +24,36 @@ use crate::wait::{WaitMode, WaitStrategy};
 /// Fault injection for the model checker's self-test.
 ///
 /// `schedcheck`'s value rests on actually finding the bugs this codebase has
-/// already had. This module can re-introduce the missing-wakeup bug fixed in
-/// the parking-waiter PR: a fast-path reader that publishes its table slot,
-/// loses the race with a revoking writer, and backs out *without* waking the
-/// writer that may already be parked on that slot. The checker must drive
-/// the deadlock (writer parked forever, reader gone) within its schedule
-/// budget — see `tests/schedcheck_mutation.rs`.
+/// already had, or could easily get. This module re-introduces two
+/// missing-wakeup bugs on the fast path, each of which leaves a revoking
+/// writer parked forever on a slot that already emptied; the checker must
+/// drive the deadlock within its schedule budget — see
+/// `tests/schedcheck_mutation.rs`.
+///
+/// * *Lost wakeup* (fixed when revokers learned to park): a fast-path
+///   reader that publishes its table slot, loses the race with a revoking
+///   writer, and backs out *without* waking the writer.
+/// * *Early bias check*: `read_unlock` loads the bias flag *before* clearing
+///   its slot instead of after, so a revoker that clears the flag and scans
+///   in between is never notified.
 ///
 /// Compiled only under the `schedcheck` feature, so release builds carry no
-/// trace of it. Enabled programmatically via [`mutation::set_lost_wakeup`]
-/// or by setting the `BRAVO_MUTATE_LOST_WAKEUP` environment variable.
+/// trace of it. Enabled programmatically via the setters, or by setting the
+/// `BRAVO_MUTATE_LOST_WAKEUP` / `BRAVO_MUTATE_EARLY_BIAS_CHECK` environment
+/// variables.
 #[cfg(feature = "schedcheck")]
 pub mod mutation {
     use crate::sync::atomic::{AtomicBool, Ordering};
     use std::sync::OnceLock;
 
     static LOST_WAKEUP: AtomicBool = AtomicBool::new(false);
-    static ENV: OnceLock<bool> = OnceLock::new();
+    static LOST_WAKEUP_ENV: OnceLock<bool> = OnceLock::new();
+    static EARLY_BIAS_CHECK: AtomicBool = AtomicBool::new(false);
+    static EARLY_BIAS_CHECK_ENV: OnceLock<bool> = OnceLock::new();
+
+    fn enabled(flag: &AtomicBool, env: &OnceLock<bool>, var: &str) -> bool {
+        flag.load(Ordering::SeqCst) || *env.get_or_init(|| std::env::var_os(var).is_some())
+    }
 
     /// Enables or disables the lost-wakeup mutation process-wide.
     pub fn set_lost_wakeup(enabled: bool) {
@@ -49,8 +62,22 @@ pub mod mutation {
 
     /// Whether the back-out path should skip its wakeup.
     pub(crate) fn lost_wakeup() -> bool {
-        LOST_WAKEUP.load(Ordering::SeqCst)
-            || *ENV.get_or_init(|| std::env::var_os("BRAVO_MUTATE_LOST_WAKEUP").is_some())
+        enabled(&LOST_WAKEUP, &LOST_WAKEUP_ENV, "BRAVO_MUTATE_LOST_WAKEUP")
+    }
+
+    /// Enables or disables the early-bias-check mutation process-wide.
+    pub fn set_early_bias_check(enabled: bool) {
+        EARLY_BIAS_CHECK.store(enabled, Ordering::SeqCst);
+    }
+
+    /// Whether `read_unlock` should check the bias flag before clearing
+    /// its slot.
+    pub(crate) fn early_bias_check() -> bool {
+        enabled(
+            &EARLY_BIAS_CHECK,
+            &EARLY_BIAS_CHECK_ENV,
+            "BRAVO_MUTATE_EARLY_BIAS_CHECK",
+        )
     }
 }
 
@@ -160,8 +187,13 @@ impl<L: RawRwLock> BravoLock<L> {
 
     /// Sets how this lock's *revocation* waits behave (its own only wait
     /// site; readers' waits live in the underlying lock, which the catalog
-    /// constructs with the same mode). In park mode, fast-path readers also
-    /// notify the lock address as they clear their slots.
+    /// constructs with the same mode). In park and futex mode, a fast-path
+    /// reader that clears its slot notifies the lock address only when it
+    /// then observes bias revoked. That is the only time a revoker can be
+    /// waiting on it, and the SeqCst clear and re-check pair with the
+    /// revoker's SeqCst bias clear and scan, so no wakeup is lost (see
+    /// [`read_unlock`](BravoLock::read_unlock)). A read-only run therefore
+    /// publishes no wakeup at all.
     pub fn with_wait_mode(mut self, mode: WaitMode) -> Self {
         self.wait = WaitStrategy::new(mode);
         self
@@ -266,8 +298,8 @@ impl<L: RawRwLock> BravoLock<L> {
         }
         // A writer revoked bias between our publication and the re-check;
         // undo the publication. The racing revoker may already have seen
-        // our slot and parked on it, so the clear needs the same wakeup as
-        // a fast-path release (no-op in spin mode).
+        // our slot and parked on it, and we already saw bias revoked, so the
+        // clear always publishes a wakeup (no-op in spin mode).
         table.clear(slot, addr);
         #[cfg(feature = "schedcheck")]
         if mutation::lost_wakeup() {
@@ -323,10 +355,31 @@ impl<L: RawRwLock> BravoLock<L> {
         match token.slot {
             Some(slot) => {
                 let addr = self.addr();
+                #[cfg(feature = "schedcheck")]
+                if mutation::early_bias_check() {
+                    // Seeded bug: the bias check runs before the clear, so
+                    // a revoker that clears RBias and scans in between parks
+                    // on our slot and is never woken.
+                    let biased = self.rbias.load(Ordering::SeqCst);
+                    self.table.table().clear(slot, addr);
+                    if !biased {
+                        self.wait.notify_all(addr);
+                    }
+                    return;
+                }
                 self.table.table().clear(slot, addr);
-                // A parked revoking writer waits keyed on the lock address;
-                // wake it now that our slot is clear (no-op when spinning).
-                self.wait.notify_all(addr);
+                // A revoker can only be waiting on our slot while RBias is
+                // clear: it clears RBias (SeqCst) before scanning, and holds
+                // the underlying lock until it restores bias or finishes, so
+                // no slow reader can set RBias in between. The SeqCst clear
+                // above and this SeqCst load pair with that clear-then-scan
+                // (Dekker): either we see RBias false and wake it, or its
+                // scan follows our clear and never waits on this slot. So a
+                // biased release publishes no wakeup and writes no shared
+                // line besides its own slot.
+                if !self.rbias.load(Ordering::SeqCst) {
+                    self.wait.notify_all(addr);
+                }
             }
             None => self.underlying.unlock_shared(),
         }
@@ -721,6 +774,45 @@ mod tests {
         l.read_unlock(t);
         writer.join().unwrap();
         assert!(entered.load(Ordering::SeqCst) >= released_at);
+    }
+
+    #[test]
+    fn biased_reads_publish_no_futex_wakeup() {
+        // A fast-path release notifies only when it sees bias revoked, so a
+        // read-only run must leave the lock's futex bucket untouched. The
+        // underlying lock spins, so only BRAVO's own wait site can bump it.
+        // The 64 buckets are process-global and other tests notify their
+        // own keys concurrently, so a bucket shared with one of them can
+        // move; a fresh lock (a fresh address, hence another bucket) gets
+        // a few tries. An unconditional notify moves it 200 000 times on
+        // every try.
+        const PAIRS: usize = 100_000;
+        for _ in 0..3 {
+            let l = Bravo::with_instrumented(
+                DefaultRwLock::new(),
+                TableHandle::private(64),
+                BiasPolicy::paper_default(),
+                StatsSink::per_lock(),
+            )
+            .with_wait_mode(WaitMode::Futex);
+            l.read_unlock(l.read_lock());
+            assert!(l.is_reader_biased());
+            let before = crate::wait::futex_bucket_generation(l.addr());
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        for _ in 0..PAIRS {
+                            l.read_unlock(l.read_lock());
+                        }
+                    });
+                }
+            });
+            assert!(l.stats().snapshot().fast_reads > 0);
+            if crate::wait::futex_bucket_generation(l.addr()) == before {
+                return;
+            }
+        }
+        panic!("biased fast-path reads bumped the futex bucket generation");
     }
 
     #[test]

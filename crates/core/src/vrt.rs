@@ -114,6 +114,12 @@ pub trait ReaderTable: Send + Sync {
 
     /// Clears `slot`, which must currently hold `lock_addr` published by
     /// this thread (the fast-path reader's release).
+    ///
+    /// The clear is sequentially consistent: the releasing reader re-checks
+    /// the lock's bias flag after it, and notifies a revoker only when it
+    /// sees bias revoked. That is race-free only because the clear and the
+    /// re-check sit in one total order with the revoker's bias clear and
+    /// scan (on x86 the `xchg` is the same instruction either way).
     fn clear(&self, slot: usize, lock_addr: usize);
 
     /// Reads the raw contents of `slot` (0 if empty).
@@ -127,7 +133,8 @@ pub trait ReaderTable: Send + Sync {
 
     /// Like [`revoke`](ReaderTable::revoke), with the waits between polls
     /// dispatched through `wait` (a parking revoker is woken by the lock's
-    /// fast-path readers notifying `lock_addr` as they clear their slots).
+    /// fast-path readers, which notify `lock_addr` after clearing their
+    /// slots whenever they see bias revoked).
     fn revoke_with(&self, lock_addr: usize, wait: WaitStrategy) -> Revocation {
         self.revoke_until_with(lock_addr, u64::MAX, wait)
             .expect("unbounded revocation scan cannot time out")
@@ -167,9 +174,13 @@ pub trait ReaderTable: Send + Sync {
 /// later in the scan order have long departed. Returns `false` on deadline.
 ///
 /// The wait between polls is `wait`-dispatched: spinning (the historical
-/// behaviour) or parking keyed on `lock_addr` — a parked revoker is woken
-/// by the lock's fast-path `read_unlock`, which notifies the lock address
-/// after clearing its slot.
+/// behaviour) or parking keyed on `lock_addr`. A parked revoker is woken by
+/// the lock's fast-path `read_unlock`, which clears its slot (SeqCst), then
+/// re-checks the bias flag and notifies the lock address only if it sees
+/// bias revoked. The revoker cleared that flag (SeqCst) before its first
+/// sweep and holds the underlying lock exclusively until it finishes or
+/// restores bias, so every reader it can be waiting on either sees the flag
+/// clear and notifies, or cleared its slot before the sweep read it.
 fn drain_pending(
     slots: &[AtomicUsize],
     pending: &mut Vec<usize>,
@@ -232,9 +243,10 @@ impl VisibleReadersTable {
     }
 
     /// Clears `slot`, which must currently hold `lock_addr` published by this
-    /// thread. This is the fast-path reader's release.
+    /// thread. This is the fast-path reader's release; sequentially
+    /// consistent, see [`ReaderTable::clear`].
     pub fn clear(&self, slot: usize, lock_addr: usize) {
-        let prev = self.slots[slot].swap(0, Ordering::Release);
+        let prev = self.slots[slot].swap(0, Ordering::SeqCst);
         debug_assert_eq!(
             prev, lock_addr,
             "slot cleared by a thread that did not own it"
@@ -670,7 +682,7 @@ impl ReaderTable for NumaTable {
     fn clear(&self, slot: usize, lock_addr: usize) {
         let (shard, offset) = self.locate(slot);
         let shard = &self.shards[shard];
-        let prev = shard.slots[offset].swap(0, Ordering::Release);
+        let prev = shard.slots[offset].swap(0, Ordering::SeqCst);
         debug_assert_eq!(
             prev, lock_addr,
             "slot cleared by a thread that did not own it"

@@ -198,6 +198,14 @@ impl WaitQueue {
                 !queue.iter().any(|n| n.thread.id() == node.thread.id()),
                 "duplicate wait-queue registration for one thread"
             );
+            #[cfg(feature = "schedcheck")]
+            if mutation::late_register() {
+                // Seeded bug: the node is visible before it is counted.
+                queue.push_back(Arc::clone(&node));
+                drop(queue);
+                self.registered.fetch_add(1, Ordering::SeqCst);
+                return node;
+            }
             // Count before the node becomes visible, under the mutex: a
             // waker can dequeue (and decrement for) the node as soon as the
             // mutex drops, and an increment after that would let the count
@@ -486,9 +494,9 @@ fn futex_wake_raw(word: &AtomicU32, n: u32) -> usize {
 }
 
 /// Seeded-bug hooks for the checker's self-tests, compiled only under the
-/// `schedcheck` feature. Mirrors `crate::lock::mutation`: a process-wide
-/// flag (programmatic setter OR'd with an environment variable) that
-/// re-introduces a specific already-understood bug class.
+/// `schedcheck` feature. Mirrors `crate::lock::mutation`: process-wide
+/// flags (programmatic setter OR'd with an environment variable), each
+/// re-introducing a specific already-understood bug class.
 #[cfg(feature = "schedcheck")]
 pub mod mutation {
     use crate::sync::atomic::{AtomicBool, Ordering};
@@ -496,6 +504,25 @@ pub mod mutation {
 
     static DROP_FUTEX_WAKE: AtomicBool = AtomicBool::new(false);
     static ENV: OnceLock<bool> = OnceLock::new();
+    static LATE_REGISTER: AtomicBool = AtomicBool::new(false);
+    static LATE_REGISTER_ENV: OnceLock<bool> = OnceLock::new();
+
+    /// Moves `WaitQueue::register`'s `registered` increment after the
+    /// queue mutex drops: the node is visible to wakers before it is
+    /// counted, so a wake can dequeue it and decrement first, wrapping the
+    /// count; a later re-registration brings it back to 0 while a waiter
+    /// is parked, and the next wake's `registered == 0` fast exit skips
+    /// that waiter. Also enabled by setting `BRAVO_MUTATE_LATE_REGISTER` in
+    /// the environment.
+    pub fn set_late_register(enabled: bool) {
+        LATE_REGISTER.store(enabled, Ordering::SeqCst);
+    }
+
+    pub(crate) fn late_register() -> bool {
+        LATE_REGISTER.load(Ordering::SeqCst)
+            || *LATE_REGISTER_ENV
+                .get_or_init(|| std::env::var_os("BRAVO_MUTATE_LATE_REGISTER").is_some())
+    }
 
     /// Drops the `FUTEX_WAKE` from [`FutexEventCount::notify_all`] when a
     /// waiter is registered: the generation still advances but nobody is
@@ -681,6 +708,13 @@ fn futex_bucket_for(key: usize) -> &'static FutexEventCount {
     let buckets =
         FUTEX_BUCKETS.get_or_init(|| (0..WAIT_BUCKETS).map(|_| FutexEventCount::new()).collect());
     &buckets[(mix64(key as u64) as usize) & (WAIT_BUCKETS - 1)]
+}
+
+/// The wake generation of the global futex bucket `key` hashes to: lets
+/// tests prove a code path publishes no futex wakeup.
+#[cfg(test)]
+pub(crate) fn futex_bucket_generation(key: usize) -> u32 {
+    futex_bucket_for(key).generation()
 }
 
 /// A one-byte dispatcher between spinning, parking and futex-blocking,

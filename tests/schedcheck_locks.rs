@@ -167,8 +167,9 @@ fn wait_queue_count_survives_two_waiters_and_a_waker() {
     // could dequeue that node and decrement before the increment, wrapping
     // the count; the early waiter's re-registration then brings it back to
     // 0 while it is parked, and the second wake's `registered == 0` fast
-    // exit skips it. The 2-thread handoff above cannot reach that window;
-    // this budget reaches it under that bug (schedule `pct3:52` deadlocks).
+    // exit skips it. The 2-thread handoff above cannot reach that window.
+    // `schedcheck_mutation.rs` re-plants that ordering
+    // (`BRAVO_MUTATE_LATE_REGISTER`) and proves PCT finds the deadlock.
     let report = schedcheck::check(&Config::pct(0x30, 3).with_schedules(400), || {
         let q = Arc::new(bravo::WaitQueue::new());
         let turn = Arc::new(AtomicU64::new(0));
