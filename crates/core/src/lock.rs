@@ -334,14 +334,16 @@ impl<L: RawRwLock> BravoLock<L> {
     /// allows. Must only be called while the caller holds read permission on
     /// the underlying lock: that is what makes the store race-free against
     /// writers (they hold the underlying lock exclusively while revoking).
+    /// Other slow readers may race here too; the swap lets exactly one of
+    /// them record the false-to-true transition.
     fn maybe_enable_bias(&self) {
         if !self.rbias.load(Ordering::Relaxed)
             && self.adapt.as_ref().map_or(true, |a| a.allows_bias())
             && self
                 .policy
                 .should_enable(now_ns(), self.inhibit_until.load(Ordering::Relaxed))
+            && !self.rbias.swap(true, Ordering::Release)
         {
-            self.rbias.store(true, Ordering::Release);
             self.stats.record_bias_enabled();
         }
     }
@@ -813,6 +815,50 @@ mod tests {
             }
         }
         panic!("biased fast-path reads bumped the futex bucket generation");
+    }
+
+    #[test]
+    fn bias_enables_never_outnumber_revocations() {
+        // Bias goes false-to-true once at first use, then once more per
+        // revocation at most, so counting enables as transitions bounds
+        // them by revocations + 1. Two slow readers that both see bias off
+        // when an inhibit window ends must not both count the one
+        // transition.
+        const OPS: u64 = 200_000;
+        let l = Bravo::with_instrumented(
+            DefaultRwLock::new(),
+            TableHandle::private(64),
+            BiasPolicy::paper_default(),
+            StatsSink::per_lock(),
+        );
+        std::thread::scope(|s| {
+            for seed in [0x9E37_79B9_7F4A_7C15u64, 0xD1B5_4A32_D192_ED03] {
+                let l = &l;
+                s.spawn(move || {
+                    let mut x = seed;
+                    for _ in 0..OPS {
+                        // xorshift64: about one write per 1000 operations.
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        if x % 1000 == 0 {
+                            l.write_lock();
+                            l.write_unlock();
+                        } else {
+                            l.read_unlock(l.read_lock());
+                        }
+                    }
+                });
+            }
+        });
+        let stats = l.stats().snapshot();
+        assert!(stats.revocations > 0, "no revocation happened: {stats:?}");
+        assert!(
+            stats.bias_enabled <= stats.revocations + 1,
+            "{} bias enables for {} revocations",
+            stats.bias_enabled,
+            stats.revocations
+        );
     }
 
     #[test]

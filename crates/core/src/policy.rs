@@ -388,7 +388,7 @@ mod tests {
 
         // A read-only epoch opens the gate.
         for _ in 0..100 {
-            sink.record_fast_read();
+            sink.record_fast_read_in(0);
         }
         adapt.tick(20, &sink);
         assert!(adapt.allows_bias());
@@ -396,7 +396,7 @@ mod tests {
 
         // A balanced epoch (ratio 0.5) keeps it open (hysteresis)...
         for _ in 0..10 {
-            sink.record_fast_read();
+            sink.record_fast_read_in(0);
             sink.record_write(false, 0);
         }
         adapt.tick(30, &sink);
@@ -439,7 +439,7 @@ mod tests {
         let sink = StatsSink::per_lock();
         adapt.tick(10, &sink); // arms next_epoch = 10 + 1ms
         for _ in 0..100 {
-            sink.record_fast_read();
+            sink.record_fast_read_in(0);
         }
         adapt.tick(500_000, &sink); // inside the epoch: no evaluation
         assert_eq!(adapt.flips(), 0);

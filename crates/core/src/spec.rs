@@ -931,7 +931,7 @@ mod tests {
         conn.unlock_exclusive();
         // Same statistics channel: events recorded through the relabelled
         // clone are visible through the original.
-        conn.stats().record_fast_read();
+        conn.stats().record_fast_read_in(0);
         assert_eq!(handle.snapshot().fast_reads, 1);
     }
 
@@ -1012,7 +1012,7 @@ mod tests {
             Arc::new(DefaultRwLock::new()),
             spec.make_sink(),
         );
-        a.stats().record_fast_read();
+        a.stats().record_fast_read_in(0);
         assert_eq!(a.snapshot().fast_reads, 1);
         assert_eq!(b.snapshot().fast_reads, 0);
     }

@@ -12,6 +12,13 @@
 //! instrumentation itself does not introduce the write-sharing BRAVO is
 //! designed to remove — the same reason the paper keeps `lockstat` disabled
 //! while measuring.
+//!
+//! Cost model: a fast read is counted once, as a publication into its table
+//! shard (`fast_reads` is the sum of `shard_publishes`). That is one plain
+//! load + store into the thread's own block — no atomic read-modify-write,
+//! because nothing else ever writes the block — plus, under a
+//! [`StatsSink::PerLock`] sink, one `fetch_add` on the lock's stripe, which
+//! threads with the same `id % 8` share. Every count stays exact.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -20,10 +27,27 @@ use topology::CachePadded;
 
 use crate::vrt::{tracked_shard, Revocation, MAX_TRACKED_SHARDS};
 
-/// One thread's (or stripe's) private counter block.
+/// Who writes a counter block, which decides how [`ThreadCounters::bump`]
+/// increments it.
+#[derive(Default)]
+enum Writers {
+    /// Every thread whose id hashes to it (a [`LockStats`] stripe):
+    /// increments are atomic `fetch_add`s.
+    #[default]
+    Shared,
+    /// Only the thread that registered it (a registry block): increments are
+    /// a plain load + store. Debug builds remember the owner and check every
+    /// increment against it.
+    Owner {
+        #[cfg(debug_assertions)]
+        thread: topology::ThreadId,
+    },
+}
+
+/// One thread's (or stripe's) counter block.
 #[derive(Default)]
 struct ThreadCounters {
-    fast_reads: AtomicU64,
+    writers: Writers,
     slow_reads_disabled: AtomicU64,
     slow_reads_collision: AtomicU64,
     slow_reads_raced: AtomicU64,
@@ -37,15 +61,40 @@ struct ThreadCounters {
     futex_wakes: AtomicU64,
     futex_eagain: AtomicU64,
     adapt_flips: AtomicU64,
+    /// Fast reads, by the table shard they published into.
     shard_publishes: [AtomicU64; MAX_TRACKED_SHARDS],
     shard_collisions: [AtomicU64; MAX_TRACKED_SHARDS],
     shard_conflicts: [AtomicU64; MAX_TRACKED_SHARDS],
 }
 
 impl ThreadCounters {
+    /// Adds `n` to one of this block's counters. An owner-only block has a
+    /// single writer, so a load + store loses no update and the aggregator's
+    /// Relaxed loads still read whole values; shared stripes need the RMW.
     #[inline]
-    fn add_fast_read(&self) {
-        self.fast_reads.fetch_add(1, Ordering::Relaxed);
+    fn bump(&self, counter: &AtomicU64, n: u64) {
+        match self.writers {
+            Writers::Shared => {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+            Writers::Owner {
+                #[cfg(debug_assertions)]
+                thread,
+            } => {
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    thread,
+                    topology::current_thread_id(),
+                    "stats block written by a thread that does not own it"
+                );
+                counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[inline]
+    fn add_fast_read(&self, shard: usize) {
+        self.bump(&self.shard_publishes[tracked_shard(shard)], 1);
     }
 
     #[inline]
@@ -55,76 +104,68 @@ impl ThreadCounters {
             SlowReadReason::Collision => &self.slow_reads_collision,
             SlowReadReason::Raced => &self.slow_reads_raced,
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.bump(counter, 1);
     }
 
     #[inline]
     fn add_write(&self, revoked: bool, wait_conflicts: u64) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.bump(&self.writes, 1);
         if revoked {
-            self.revocations.fetch_add(1, Ordering::Relaxed);
-            self.revocation_wait_conflicts
-                .fetch_add(wait_conflicts, Ordering::Relaxed);
+            self.bump(&self.revocations, 1);
+            self.bump(&self.revocation_wait_conflicts, wait_conflicts);
         }
     }
 
     #[inline]
     fn add_revocation_scan(&self, slots: usize) {
-        self.revocation_scan_slots
-            .fetch_add(slots as u64, Ordering::Relaxed);
+        self.bump(&self.revocation_scan_slots, slots as u64);
     }
 
     #[inline]
     fn add_bias_enabled(&self) {
-        self.bias_enabled.fetch_add(1, Ordering::Relaxed);
+        self.bump(&self.bias_enabled, 1);
     }
 
     #[inline]
     fn add_parked_wait(&self) {
-        self.parked_waits.fetch_add(1, Ordering::Relaxed);
+        self.bump(&self.parked_waits, 1);
     }
 
     #[inline]
     fn add_futex_wait(&self) {
-        self.futex_waits.fetch_add(1, Ordering::Relaxed);
+        self.bump(&self.futex_waits, 1);
     }
 
     #[inline]
     fn add_futex_wake(&self) {
-        self.futex_wakes.fetch_add(1, Ordering::Relaxed);
+        self.bump(&self.futex_wakes, 1);
     }
 
     #[inline]
     fn add_futex_eagain(&self) {
-        self.futex_eagain.fetch_add(1, Ordering::Relaxed);
+        self.bump(&self.futex_eagain, 1);
     }
 
     #[inline]
     fn add_adapt_flip(&self) {
-        self.adapt_flips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn add_shard_publish(&self, shard: usize) {
-        self.shard_publishes[tracked_shard(shard)].fetch_add(1, Ordering::Relaxed);
+        self.bump(&self.adapt_flips, 1);
     }
 
     #[inline]
     fn add_shard_collision(&self, shard: usize) {
-        self.shard_collisions[tracked_shard(shard)].fetch_add(1, Ordering::Relaxed);
+        self.bump(&self.shard_collisions[tracked_shard(shard)], 1);
     }
 
     #[inline]
     fn add_shard_conflicts(&self, per_shard: &[u64; MAX_TRACKED_SHARDS]) {
         for (counter, &n) in self.shard_conflicts.iter().zip(per_shard) {
             if n > 0 {
-                counter.fetch_add(n, Ordering::Relaxed);
+                self.bump(counter, n);
             }
         }
     }
 
     fn accumulate_into(&self, out: &mut Snapshot) {
-        out.fast_reads += self.fast_reads.load(Ordering::Relaxed);
         out.slow_reads_disabled += self.slow_reads_disabled.load(Ordering::Relaxed);
         out.slow_reads_collision += self.slow_reads_collision.load(Ordering::Relaxed);
         out.slow_reads_raced += self.slow_reads_raced.load(Ordering::Relaxed);
@@ -139,7 +180,9 @@ impl ThreadCounters {
         out.futex_eagain += self.futex_eagain.load(Ordering::Relaxed);
         out.adapt_flips += self.adapt_flips.load(Ordering::Relaxed);
         for shard in 0..MAX_TRACKED_SHARDS {
-            out.shard_publishes[shard] += self.shard_publishes[shard].load(Ordering::Relaxed);
+            let published = self.shard_publishes[shard].load(Ordering::Relaxed);
+            out.shard_publishes[shard] += published;
+            out.fast_reads += published;
             out.shard_collisions[shard] += self.shard_collisions[shard].load(Ordering::Relaxed);
             out.shard_conflicts[shard] += self.shard_conflicts[shard].load(Ordering::Relaxed);
         }
@@ -161,7 +204,9 @@ pub enum SlowReadReason {
 /// Immutable snapshot of the aggregated counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Snapshot {
-    /// Reads that completed on the BRAVO fast path.
+    /// Reads that completed on the BRAVO fast path: the sum of
+    /// [`shard_publishes`](Self::shard_publishes), since each fast read is
+    /// recorded once, as its publication.
     pub fast_reads: u64,
     /// Slow reads because bias was disabled.
     pub slow_reads_disabled: u64,
@@ -197,9 +242,10 @@ pub struct Snapshot {
     /// Adaptive-bias policy flips (enable or disable decisions taken by an
     /// `adapt=on` lock's epoch sampler).
     pub adapt_flips: u64,
-    /// Fast-path publications per tracked table shard (occupancy pressure;
-    /// flat tables attribute everything to shard 0, shards beyond
-    /// [`MAX_TRACKED_SHARDS`] fold into the last bucket).
+    /// Fast reads per tracked table shard they published into (occupancy
+    /// pressure; flat tables attribute everything to shard 0, shards beyond
+    /// [`MAX_TRACKED_SHARDS`] fold into the last bucket). Sums to
+    /// [`fast_reads`](Self::fast_reads).
     pub shard_publishes: [u64; MAX_TRACKED_SHARDS],
     /// Slot collisions per tracked table shard — the cross-lock conflicts
     /// the interference experiment reports.
@@ -348,7 +394,13 @@ fn registry() -> &'static Registry {
 thread_local! {
     static LOCAL: &'static CachePadded<ThreadCounters> = {
         let block: &'static CachePadded<ThreadCounters> =
-            Box::leak(Box::new(CachePadded::new(ThreadCounters::default())));
+            Box::leak(Box::new(CachePadded::new(ThreadCounters {
+                writers: Writers::Owner {
+                    #[cfg(debug_assertions)]
+                    thread: topology::current_thread_id(),
+                },
+                ..ThreadCounters::default()
+            })));
         registry().blocks.lock().expect("stats registry poisoned").push(block);
         block
     };
@@ -359,10 +411,11 @@ fn with_local<F: FnOnce(&ThreadCounters)>(f: F) {
     LOCAL.with(|c| f(c));
 }
 
-/// Records a fast-path read acquisition.
+/// Records a fast-path read acquisition, attributed to shard 0 as a flat
+/// table's publications are.
 #[inline]
 pub fn record_fast_read() {
-    with_local(|c| c.add_fast_read());
+    with_local(|c| c.add_fast_read(0));
 }
 
 /// Records a slow-path read acquisition and the reason it was slow.
@@ -424,12 +477,6 @@ pub fn record_adapt_flip() {
     with_local(|c| c.add_adapt_flip());
 }
 
-/// Records a fast-path publication into a table shard.
-#[inline]
-pub fn record_shard_publish(shard: usize) {
-    with_local(|c| c.add_shard_publish(shard));
-}
-
 /// Records a slot collision in a table shard (the reader found the slot
 /// occupied and fell back to the slow path).
 #[inline]
@@ -468,7 +515,7 @@ const LOCK_STAT_STRIPES: usize = 8;
 /// that lock's events. Recording threads are striped over
 /// `LOCK_STAT_STRIPES` cache-padded blocks by thread id — coarser than the
 /// global registry's block-per-thread, in exchange for a bounded per-lock
-/// footprint.
+/// footprint. Threads that share a stripe increment it with `fetch_add`.
 pub struct LockStats {
     stripes: Box<[CachePadded<ThreadCounters>]>,
 }
@@ -549,15 +596,6 @@ impl StatsSink {
         }
     }
 
-    /// Records a fast-path read acquisition.
-    #[inline]
-    pub fn record_fast_read(&self) {
-        record_fast_read();
-        if let StatsSink::PerLock(stats) = self {
-            stats.stripe().add_fast_read();
-        }
-    }
-
     /// Records a slow-path read acquisition and why it was slow.
     #[inline]
     pub fn record_slow_read(&self, reason: SlowReadReason) {
@@ -603,16 +641,15 @@ impl StatsSink {
         }
     }
 
-    /// Records a fast-path read acquisition *and* its publication into the
-    /// given table shard, in one call (the common fast-path pairing).
+    /// Records a fast-path read acquisition that published into the given
+    /// table shard. This one event is both the fast read and the shard
+    /// publication: one store into the thread's own block, plus one
+    /// `fetch_add` on the lock's stripe under a per-lock sink.
     #[inline]
     pub fn record_fast_read_in(&self, shard: usize) {
-        record_fast_read();
-        record_shard_publish(shard);
+        with_local(|c| c.add_fast_read(shard));
         if let StatsSink::PerLock(stats) = self {
-            let stripe = stats.stripe();
-            stripe.add_fast_read();
-            stripe.add_shard_publish(shard);
+            stats.stripe().add_fast_read(shard);
         }
     }
 
@@ -677,6 +714,38 @@ mod tests {
         assert!(delta.bias_enabled >= 1);
     }
 
+    /// The calling thread's own registry block. Nothing else writes it, so
+    /// deltas over it are exact even while other tests record concurrently.
+    fn local_snapshot() -> Snapshot {
+        let mut out = Snapshot::default();
+        LOCAL.with(|c| c.accumulate_into(&mut out));
+        out
+    }
+
+    #[test]
+    fn flat_fast_reads_land_in_shard_zero() {
+        let before = local_snapshot();
+        record_fast_read();
+        record_fast_read();
+        let delta = local_snapshot().since(&before);
+        assert_eq!(delta.shard_publishes[0], 2);
+        assert_eq!(delta.shard_publishes.iter().sum::<u64>(), 2);
+        assert_eq!(delta.fast_reads, 2);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "does not own")]
+    fn owner_only_blocks_reject_other_writers() {
+        let block = ThreadCounters {
+            writers: Writers::Owner {
+                thread: topology::ThreadId(usize::MAX),
+            },
+            ..ThreadCounters::default()
+        };
+        block.add_write(false, 0);
+    }
+
     #[test]
     fn fractions_handle_zero_denominators() {
         let s = Snapshot::default();
@@ -704,8 +773,8 @@ mod tests {
     fn per_lock_sinks_do_not_bleed_into_each_other() {
         let a = StatsSink::per_lock();
         let b = StatsSink::per_lock();
-        a.record_fast_read();
-        a.record_fast_read();
+        a.record_fast_read_in(0);
+        a.record_fast_read_in(0);
         b.record_write(true, 1);
         let sa = a.snapshot();
         let sb = b.snapshot();
@@ -734,7 +803,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..50 {
-                        sink.record_fast_read();
+                        sink.record_fast_read_in(0);
                     }
                 });
             }
@@ -746,7 +815,7 @@ mod tests {
     fn global_sink_snapshot_matches_process_totals() {
         let sink = StatsSink::default();
         assert!(!sink.is_per_lock());
-        sink.record_fast_read();
+        sink.record_fast_read_in(0);
         // A Global sink resolves to the process aggregate.
         assert!(sink.snapshot().fast_reads >= 1);
     }

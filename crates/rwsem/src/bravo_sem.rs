@@ -135,13 +135,16 @@ impl BravoRwSemaphore {
         }
     }
 
+    /// Re-enables bias if the policy allows; called with read permission on
+    /// the inner semaphore. Racing slow readers may all get here, and the
+    /// swap lets exactly one of them record the transition.
     fn maybe_enable_bias(&self) {
         if !self.rbias.load(Ordering::Relaxed)
             && self
                 .policy
                 .should_enable(now_ns(), self.inhibit_until.load(Ordering::Relaxed))
+            && !self.rbias.swap(true, Ordering::Release)
         {
-            self.rbias.store(true, Ordering::Release);
             stats::record_bias_enabled();
         }
     }

@@ -16,6 +16,7 @@ pub struct ThreadId(pub usize);
 
 impl ThreadId {
     /// The raw integer value of the id.
+    #[inline]
     pub fn as_usize(self) -> usize {
         self.0
     }
@@ -28,6 +29,10 @@ thread_local! {
 }
 
 /// Returns the calling thread's [`ThreadId`], assigning one on first use.
+///
+/// Inlined across crates: BRAVO's slot hash and per-lock stats stripe both
+/// call it on every fast read.
+#[inline]
 pub fn current_thread_id() -> ThreadId {
     TID.with(|slot| {
         if let Some(id) = slot.get() {

@@ -124,6 +124,41 @@ fn per_lock_snapshots_do_not_bleed_between_concurrent_locks() {
 }
 
 #[test]
+fn per_lock_counts_are_exact_under_concurrency() {
+    // Every read is counted exactly once, fast or slow, and a fast read is
+    // counted as its shard publication, on the flat and the NUMA layout.
+    const THREADS: u64 = 2;
+    const PAIRS: u64 = 100_000;
+    const WRITES: u64 = 4;
+    for spec in ["BRAVO-BA", "BRAVO-BA?table=numa:2x1024"] {
+        let lock = build_lock(&spec.parse().unwrap()).unwrap();
+        thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for i in 0..PAIRS {
+                        if i % (PAIRS / WRITES) == 0 {
+                            lock.lock_exclusive();
+                            lock.unlock_exclusive();
+                        }
+                        lock.lock_shared();
+                        lock.unlock_shared();
+                    }
+                });
+            }
+        });
+        let stats = lock.snapshot();
+        assert_eq!(stats.total_reads(), THREADS * PAIRS, "{spec}: {stats:?}");
+        assert_eq!(stats.writes, THREADS * WRITES, "{spec}: {stats:?}");
+        assert!(stats.fast_reads > 0, "{spec}: no fast read");
+        assert_eq!(
+            stats.fast_reads,
+            stats.shard_publishes.iter().sum::<u64>(),
+            "{spec}: {stats:?}"
+        );
+    }
+}
+
+#[test]
 fn every_lock_kind_enforces_read_write_exclusion() {
     const WRITERS: usize = 2;
     const READERS: usize = 4;

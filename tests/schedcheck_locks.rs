@@ -10,6 +10,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use bravo::stats::StatsSink;
 use bravo::sync::atomic::{AtomicU64, Ordering};
 use bravo::{BiasPolicy, BravoLock, DefaultRwLock, RawRwLock, TableHandle, WaitMode, WaitStrategy};
 use rwlocks::{CounterRwLock, RawMutex, TicketMutex};
@@ -127,6 +128,40 @@ fn bravo_revocation_handshake_survives_pct() {
             writer.join();
         });
     }
+}
+
+#[test]
+fn racing_slow_readers_enable_bias_once() {
+    // Two readers on a fresh lock both find bias off and go slow, so both
+    // may reach the re-enable check while holding the underlying lock
+    // shared. Only one of them may count the false-to-true transition. With
+    // a check-then-store enable both count it, and this walk finds that on
+    // its second schedule (`SCHEDCHECK_SEED=rw:2`).
+    schedcheck::check(&Config::random_walk(1).with_schedules(200), || {
+        let lock = Arc::new(
+            BravoLock::<DefaultRwLock>::with_instrumented(
+                DefaultRwLock::with_wait(WaitMode::Park),
+                TableHandle::private(64),
+                BiasPolicy::paper_default(),
+                StatsSink::per_lock(),
+            )
+            .with_wait_mode(WaitMode::Park),
+        );
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let lock = Arc::clone(&lock);
+                schedcheck::spawn(move || lock.read_unlock(lock.read_lock()))
+            })
+            .collect();
+        for r in readers {
+            r.join();
+        }
+        assert_eq!(
+            lock.stats().snapshot().bias_enabled,
+            1,
+            "bias enabled twice"
+        );
+    });
 }
 
 #[test]
